@@ -1,5 +1,6 @@
 // E15 — Sharded execution bench (google-benchmark): cross-rank message
-// batching throughput of the rank driver (sim/rank.hpp, sim/shard_comm.hpp,
+// batching throughput of the Engine over rank windows (the wire seams in
+// sim/rank_exchange.hpp, the mesh in sim/shard_comm.hpp, the driver behind
 // scenario/rank_run.hpp).
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each

@@ -1,17 +1,19 @@
-// Sharded scenario execution: scenario::run's synchronous branch, spread
-// over rank processes (sim/rank.hpp + sim/shard_comm.hpp).
+// Sharded scenario execution: scenario::run's synchronous path, spread
+// over rank processes (sim/shard_comm.hpp), each running the Engine over
+// its node window (sim/rank_exchange.hpp).
 //
 // run_sharded(s, n, seed, K) is the drop-in sharded counterpart of
-// run(s, n, seed): it forks K ranks, each builds ONLY its node window of
-// the topology (build_topology_window — same generator stream, global edge
-// ids and the full weight permutation, so windowed CSR rows are
-// bit-identical to the full build's), steps a RankEngine to completion, and
-// rank 0 assembles the identical RunResult — digest, metrics, and fault
-// stats all bit-equal to the serial run's.  The digest is chained: rank r
-// folds its own window [lo, hi) starting from rank r-1's partial
-// accumulator (NodeResults::begin/h0), which reproduces the serial
-// node-major fold exactly; reductions (p2p messages, fault drops) ride the
-// same post-run gather to rank 0.
+// run(s, n, seed), and runs through the same driver (scenario/driver.cpp):
+// it forks K ranks, each builds ONLY its node window of the topology
+// (build_topology_window — same generator stream, global edge ids and the
+// full weight permutation, so windowed CSR rows are bit-identical to the
+// full build's), steps its Engine to completion, and rank 0 assembles the
+// identical RunResult — digest, metrics, and fault stats all bit-equal to
+// the serial run's.  The digest is chained: rank r folds its own window
+// [lo, hi) starting from rank r-1's partial accumulator
+// (NodeResults::begin/h0), which reproduces the serial node-major fold
+// exactly; reductions (p2p messages, fault drops) ride the same post-run
+// gather to rank 0.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,6 @@
 #include "core/partition_det.hpp"
 #include "core/partition_rand.hpp"
 #include "core/size.hpp"
-#include "core/synchronizer.hpp"
 #include "graph/generators.hpp"
 #include "sim/async_engine.hpp"
 #include "support/check.hpp"
@@ -44,165 +43,6 @@ const Scenario* Registry::find(std::string_view name) const {
 Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed) {
   return build_topology(
       TopologySpec{s.topology, topology_round_n(s.topology, n), seed});
-}
-
-RunResult run(const Scenario& s, NodeId n, std::uint64_t seed,
-              std::unique_ptr<sim::Scheduler> scheduler, EngineKind engine,
-              double load, std::uint32_t faults) {
-  MMN_REQUIRE(load == 0.0 || s.make_load_factory != nullptr,
-              "scenario is not load-capable (no make_load_factory)");
-  MMN_REQUIRE(faults == 0 || s.make_fault_plan != nullptr,
-              "scenario is not fault-capable (no make_fault_plan)");
-  const Graph g = make_scenario_graph(s, n, seed);
-  RunResult result;
-  result.realized_n = g.num_nodes();
-  // The run seed also feeds the discipline's own lottery stream (the
-  // stabilized-Aloha kinds; the others ignore it — see make_discipline).
-  const double offered = load > 0.0 ? load : s.default_load;
-  const std::uint32_t intensity = faults > 0 ? faults : s.default_faults;
-  sim::FaultPlan plan;
-  if (intensity > 0 && s.make_fault_plan) {
-    plan = s.make_fault_plan(g, intensity, seed);
-  }
-  const bool faulted = !plan.empty();
-
-  if (faulted && s.fault_recovery) {
-    // Two-phase recovery flow.  Phase A steps the protocol serially into
-    // the fault: the round where the kills land runs with in-flight traffic
-    // hitting dead links (dropped and counted), and one round beyond would
-    // start violating the protocol's own invariants — the paper's
-    // deterministic protocols assume reliable links, so the recovery
-    // mechanism is the epoch rebuild, not in-protocol loss tolerance.  The
-    // epoch overlay then compacts the surviving topology into a fresh arena
-    // and phase B re-runs the protocol from scratch on it under the
-    // caller's scheduler; the slots between the fault and the configured
-    // epoch boundary model the detection/rebuild window and bill into
-    // recovery_slots.  The recovery digest folds phase B's protocol result
-    // with the overlay's kill-set word — both are invariant to where the
-    // epoch boundary lands (any boundary past the last fault event yields
-    // the same compacted graph), so recovery runs pin re-convergence
-    // without being sensitive to drop timing.
-    MMN_REQUIRE(engine == EngineKind::kSync,
-                "fault-recovery scenarios run on the synchronous engine");
-    MMN_REQUIRE(s.fault_epoch_slots > 0,
-                "fault-recovery scenarios need fault_epoch_slots");
-    std::uint64_t last_fault = 0;
-    for (const sim::FaultEvent& e : plan.events()) {
-      last_fault = std::max(last_fault, e.slot);
-    }
-    MMN_REQUIRE(s.fault_epoch_slots > last_fault,
-                "the epoch boundary must fall after the last fault event");
-    sim::Engine wounded(g, s.make_factory(g), seed, nullptr,
-                        sim::make_discipline(s.discipline,
-                                             sim::UnslottedConfig{}, seed));
-    wounded.install_faults(plan);
-    wounded.step(last_fault + 1);
-    EpochOverlay& overlay = wounded.faults()->overlay();
-    const EpochOverlay::Compaction compaction = overlay.compact();
-    const Graph& g2 = compaction.graph;
-    sim::Engine eng(g2, s.make_factory(g2), seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    result.faults = wounded.faults()->stats();
-    const std::uint64_t first = plan.first_fault_slot();
-    const std::uint64_t phase_a =
-        s.fault_epoch_slots > first ? s.fault_epoch_slots - first : 0;
-    result.recovery_slots = phase_a + eng.metrics().rounds;
-    result.faults.recovery_slots = result.recovery_slots;
-    if (s.digest) {
-      result.digest = digest_mix(
-          s.digest(NodeResults{g2.num_nodes(),
-                               [&eng](NodeId v) -> const sim::Process& {
-                                 return eng.process(v);
-                               }}),
-          overlay.digest_word());
-    }
-    return result;
-  }
-
-  if (engine == EngineKind::kSync) {
-    sim::Engine eng(g,
-                    s.make_load_factory ? s.make_load_factory(g, offered)
-                                        : s.make_factory(g),
-                    seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    if (faulted) eng.install_faults(plan);
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(),
-          [&eng](NodeId v) -> const sim::Process& { return eng.process(v); }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      // The fault trajectory is part of the run's identity: fold it so the
-      // scheduler-equivalence suites cover drop accounting too.
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  if (s.make_async_load_factory) {
-    // Native asynchronous open-loop path: the stations are AsyncProcesses
-    // driven by the AsyncEngine directly, no synchronizer in between —
-    // deferring disciplines are fine because open-loop stations never read
-    // an idle slot as information.
-    sim::AsyncEngine eng(g, s.make_async_load_factory(g, offered), seed,
-                         s.async_max_delay_slots, std::move(scheduler),
-                         sim::make_discipline(s.discipline,
-                                              sim::UnslottedConfig{}, seed));
-    if (faulted) eng.install_faults(plan);
-    result.metrics = eng.run(s.max_rounds);
-    result.status = eng.status();
-    result.completed = result.status == sim::RunStatus::kCompleted;
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(), nullptr,
-          [&eng](NodeId v) -> const sim::AsyncProcess& {
-            return eng.process(v);
-          }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  MMN_REQUIRE(!faulted,
-              "fault injection is not supported on the synchronizer path");
-  MMN_REQUIRE(s.channel_free,
-              "scenario uses the channel and cannot run under the "
-              "synchronizer on the asynchronous engine");
-  std::unique_ptr<sim::ChannelDiscipline> discipline =
-      sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed);
-  MMN_REQUIRE(!discipline->defers(),
-              "a deferring discipline would falsify the synchronizer's "
-              "idle-slot pulses on the asynchronous engine");
-  sim::AsyncEngine eng(g, synchronize(s.make_factory(g)), seed,
-                       s.async_max_delay_slots, std::move(scheduler),
-                       std::move(discipline));
-  result.metrics = eng.run(s.max_rounds);
-  result.status = eng.status();
-  result.completed = result.status == sim::RunStatus::kCompleted;
-  if (s.digest && result.completed) {
-    result.digest = s.digest(NodeResults{
-        g.num_nodes(), [&eng](NodeId v) -> const sim::Process& {
-          return static_cast<const SynchronizerProcess&>(eng.process(v))
-              .inner();
-        }});
-  }
-  return result;
 }
 
 namespace {
@@ -236,6 +76,54 @@ std::uint64_t load_digest(const NodeResults& results) {
       results.begin, results.h0);
 }
 
+/// Folds each node's protocol result — `result()` on process type P.
+template <typename P>
+std::uint64_t result_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p, NodeId) {
+    return static_cast<std::uint64_t>(dynamic_cast<const P&>(p).result());
+  });
+}
+
+/// Builds a P(view, args...) at every node, whatever the graph.
+template <typename P, typename... Args>
+std::function<sim::ProcessFactory(const Graph&)> per_node(Args... args) {
+  return [=](const Graph&) -> sim::ProcessFactory {
+    return [=](const sim::LocalView& v) {
+      return std::make_unique<P>(v, args...);
+    };
+  };
+}
+
+/// Section 5 global min over the inputs v + 1, by the given variant.
+std::function<sim::ProcessFactory(const Graph&)> global_min(
+    GlobalFunctionConfig::Variant variant) {
+  GlobalFunctionConfig config;
+  config.op = SemigroupOp::kMin;
+  config.variant = variant;
+  return [config](const Graph&) -> sim::ProcessFactory {
+    return [config](const sim::LocalView& v) {
+      return std::make_unique<GlobalFunctionProcess>(
+          v, config, static_cast<sim::Word>(v.self) + 1);
+    };
+  };
+}
+
+std::uint64_t size_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p, NodeId) {
+    return dynamic_cast<const DeterministicSizeProcess&>(p).network_size();
+  });
+}
+
+std::uint64_t mst_digest(const NodeResults& results) {
+  return fold_nodes(results, [](const sim::Process& p, NodeId) {
+    std::vector<EdgeId> edges = dynamic_cast<const MstProcess&>(p).mst_edges();
+    std::sort(edges.begin(), edges.end());
+    std::uint64_t h = kDigestSeed;
+    for (EdgeId e : edges) h = digest_mix(h, e);
+    return h;
+  });
+}
+
 std::uint64_t fragment_digest(const NodeResults& results) {
   return fold_nodes(results, [](const sim::Process& p, NodeId) {
     const auto& f = dynamic_cast<const FragmentState&>(p);
@@ -251,12 +139,7 @@ void register_all() {
       "partition/det/random",
       "Section 3 deterministic partition on a random connected graph",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionDetProcess>(v,
-                                                       PartitionDetConfig{});
-        };
-      },
+      per_node<PartitionDetProcess>(PartitionDetConfig{}),
       fragment_digest,
       {64, 256},
       7,
@@ -266,12 +149,7 @@ void register_all() {
       "partition/rand/random",
       "Section 4 randomized partition on a random connected graph",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionRandProcess>(v,
-                                                        PartitionRandConfig{});
-        };
-      },
+      per_node<PartitionRandProcess>(PartitionRandConfig{}),
       fragment_digest,
       {64, 256},
       7,
@@ -281,11 +159,7 @@ void register_all() {
       "partition/anon/random",
       "Section 7.4 partition with unknown n and anonymous nodes",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<AnonymousPartitionProcess>(v);
-        };
-      },
+      per_node<AnonymousPartitionProcess>(),
       fragment_digest,
       {64, 256},
       7,
@@ -295,21 +169,8 @@ void register_all() {
       "mst/random",
       "Section 6 multimedia MST on a random connected graph",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<MstProcess>(v);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          const auto& mst = dynamic_cast<const MstProcess&>(p);
-          std::vector<EdgeId> edges = mst.mst_edges();
-          std::sort(edges.begin(), edges.end());
-          std::uint64_t h = kDigestSeed;
-          for (EdgeId e : edges) h = digest_mix(h, e);
-          return h;
-        });
-      },
+      per_node<MstProcess>(),
+      mst_digest,
       {64, 256},
       7,
       200'000'000});
@@ -318,21 +179,8 @@ void register_all() {
       "global/min/det/random",
       "Section 5 deterministic global min on a random connected graph",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kDeterministic;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
+      global_min(GlobalFunctionConfig::Variant::kDeterministic),
+      result_digest<GlobalFunctionProcess>,
       {64, 256},
       7,
       200'000'000});
@@ -341,21 +189,8 @@ void register_all() {
       "global/min/rand/ring",
       "Section 5 randomized global min on a ring",
       TopoKind::kRing,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kRandomized;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
+      global_min(GlobalFunctionConfig::Variant::kRandomized),
+      result_digest<GlobalFunctionProcess>,
       {256, 1024, 4096},
       7,
       200'000'000});
@@ -370,12 +205,7 @@ void register_all() {
               v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
         };
       },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
+      result_digest<BroadcastGlobalProcess>,
       {64, 128},
       7,
       200'000'000});
@@ -390,12 +220,7 @@ void register_all() {
               v, SemigroupOp::kMax, static_cast<sim::Word>(v.self % 17) + 1);
         };
       },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
+      result_digest<BroadcastGlobalProcess>,
       {64, 128},
       7,
       200'000'000});
@@ -413,12 +238,7 @@ void register_all() {
                 v, config, static_cast<sim::Word>(v.self) + 1);
           };
         },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
+        result_digest<P2pGlobalProcess>,
         {64, 256},
         7,
         200'000'000};
@@ -442,12 +262,7 @@ void register_all() {
                 v, config, static_cast<sim::Word>(v.self) + 1);
           };
         },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
+        result_digest<P2pGlobalProcess>,
         {64, 256},
         7,
         200'000'000};
@@ -475,12 +290,7 @@ void register_all() {
                 v, SemigroupOp::kMax, static_cast<sim::Word>(v.self % 23) + 1);
           };
         },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const ContentionGlobalProcess&>(p).result());
-          });
-        },
+        result_digest<ContentionGlobalProcess>,
         {64, 128},
         7,
         200'000'000};
@@ -499,12 +309,7 @@ void register_all() {
                 v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
           };
         },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const ContentionGlobalProcess&>(p).result());
-          });
-        },
+        result_digest<ContentionGlobalProcess>,
         {64, 256},
         7,
         200'000'000};
@@ -517,17 +322,8 @@ void register_all() {
         "size/unslotted/clique",
         "Exact network size on a clique over the unslotted busy-tone channel",
         TopoKind::kComplete,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<DeterministicSizeProcess>(v);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return dynamic_cast<const DeterministicSizeProcess&>(p)
-                .network_size();
-          });
-        },
+        per_node<DeterministicSizeProcess>(),
+        size_digest,
         {48, 96},
         7,
         200'000'000};
@@ -540,12 +336,7 @@ void register_all() {
         "partition/det/unslotted/random",
         "Section 3 partition driven over the unslotted busy-tone channel",
         TopoKind::kRandom,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<PartitionDetProcess>(v,
-                                                         PartitionDetConfig{});
-          };
-        },
+        per_node<PartitionDetProcess>(PartitionDetConfig{}),
         fragment_digest,
         {64, 256},
         7,
@@ -567,12 +358,7 @@ void register_all() {
                 v, config, static_cast<sim::Word>(v.self) + 3);
           };
         },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return static_cast<std::uint64_t>(
-                dynamic_cast<const P2pGlobalProcess&>(p).result());
-          });
-        },
+        result_digest<P2pGlobalProcess>,
         {64, 256},
         7,
         200'000'000};
@@ -588,17 +374,8 @@ void register_all() {
       "size/det/random",
       "Section 7.3 exact network-size computation on a random graph",
       TopoKind::kRandom,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<DeterministicSizeProcess>(v);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return dynamic_cast<const DeterministicSizeProcess&>(p)
-              .network_size();
-        });
-      },
+      per_node<DeterministicSizeProcess>(),
+      size_digest,
       {64, 256},
       7,
       200'000'000});
@@ -615,21 +392,8 @@ void register_all() {
       "global/min/det/ray",
       "Section 5 deterministic global min on the Theorem 2 ray graph",
       TopoKind::kRay,
-      [](const Graph&) -> sim::ProcessFactory {
-        GlobalFunctionConfig config;
-        config.op = SemigroupOp::kMin;
-        config.variant = GlobalFunctionConfig::Variant::kDeterministic;
-        return [config](const sim::LocalView& v) {
-          return std::make_unique<GlobalFunctionProcess>(
-              v, config, static_cast<sim::Word>(v.self) + 1);
-        };
-      },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const GlobalFunctionProcess&>(p).result());
-        });
-      },
+      global_min(GlobalFunctionConfig::Variant::kDeterministic),
+      result_digest<GlobalFunctionProcess>,
       {64, 256},
       7,
       200'000'000});
@@ -638,12 +402,7 @@ void register_all() {
       "partition/det/ray",
       "Section 3 deterministic partition on the Theorem 2 ray graph",
       TopoKind::kRay,
-      [](const Graph&) -> sim::ProcessFactory {
-        return [](const sim::LocalView& v) {
-          return std::make_unique<PartitionDetProcess>(v,
-                                                       PartitionDetConfig{});
-        };
-      },
+      per_node<PartitionDetProcess>(PartitionDetConfig{}),
       fragment_digest,
       {64, 256},
       7,
@@ -659,12 +418,7 @@ void register_all() {
               v, SemigroupOp::kSum, static_cast<sim::Word>(v.self) + 1);
         };
       },
-      [](const NodeResults& results) {
-        return fold_nodes(results, [](const sim::Process& p, NodeId) {
-          return static_cast<std::uint64_t>(
-              dynamic_cast<const BroadcastGlobalProcess&>(p).result());
-        });
-      },
+      result_digest<BroadcastGlobalProcess>,
       {64, 128},
       7,
       200'000'000});
@@ -674,17 +428,8 @@ void register_all() {
         "size/unslotted/iclique",
         "Exact network size on an implicit clique, unslotted busy-tone",
         TopoKind::kCliqueImplicit,
-        [](const Graph&) -> sim::ProcessFactory {
-          return [](const sim::LocalView& v) {
-            return std::make_unique<DeterministicSizeProcess>(v);
-          };
-        },
-        [](const NodeResults& results) {
-          return fold_nodes(results, [](const sim::Process& p, NodeId) {
-            return dynamic_cast<const DeterministicSizeProcess&>(p)
-                .network_size();
-          });
-        },
+        per_node<DeterministicSizeProcess>(),
+        size_digest,
         {48, 96},
         7,
         200'000'000};
@@ -790,11 +535,7 @@ void register_all() {
     s.description =
         "Section 3 partition re-converging after k mid-run link kills";
     s.topology = TopoKind::kRandom;
-    s.make_factory = [](const Graph&) -> sim::ProcessFactory {
-      return [](const sim::LocalView& v) {
-        return std::make_unique<PartitionDetProcess>(v, PartitionDetConfig{});
-      };
-    };
+    s.make_factory = per_node<PartitionDetProcess>(PartitionDetConfig{});
     s.digest = fragment_digest;
     s.sweep_n = {64, 128};
     s.make_fault_plan = [](const Graph& g, std::uint32_t k,
@@ -813,21 +554,8 @@ void register_all() {
     s.description =
         "Section 6 multimedia MST rebuilt after k mid-run link kills";
     s.topology = TopoKind::kRandom;
-    s.make_factory = [](const Graph&) -> sim::ProcessFactory {
-      return [](const sim::LocalView& v) {
-        return std::make_unique<MstProcess>(v);
-      };
-    };
-    s.digest = [](const NodeResults& results) {
-      return fold_nodes(results, [](const sim::Process& p, NodeId) {
-        const auto& mst = dynamic_cast<const MstProcess&>(p);
-        std::vector<EdgeId> edges = mst.mst_edges();
-        std::sort(edges.begin(), edges.end());
-        std::uint64_t h = kDigestSeed;
-        for (EdgeId e : edges) h = digest_mix(h, e);
-        return h;
-      });
-    };
+    s.make_factory = per_node<MstProcess>();
+    s.digest = mst_digest;
     s.sweep_n = {64, 128};
     s.make_fault_plan = [](const Graph& g, std::uint32_t k,
                            std::uint64_t seed) {

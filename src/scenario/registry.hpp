@@ -145,9 +145,6 @@ struct RunResult {
   /// slot count, so capped results remain scheduler-comparable (the
   /// free-for-all load scenarios livelock past saturation by design).
   bool completed = true;
-  /// Engine-uniform status: kCompleted, or kSlotCapReached when the cap
-  /// elapsed (mirrors `completed`; neither engine aborts on a capped run).
-  sim::RunStatus status = sim::RunStatus::kCompleted;
   /// Fault accounting of a faulted run; zeroed on fault-free runs.  On
   /// recovery scenarios this is phase A's tally with recovery_slots filled.
   sim::FaultStats faults;
@@ -182,7 +179,8 @@ Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed);
 
 /// Runs one scenario at size n: generate the graph, build the engine of the
 /// requested kind under `scheduler` (null = serial), run to completion,
-/// digest the results.  EngineKind::kAsync runs load-capable scenarios
+/// digest the results.  The same driver (scenario/driver.cpp) runs each
+/// rank of run_sharded.  EngineKind::kAsync runs load-capable scenarios
 /// natively on the AsyncEngine (make_async_load_factory); all other
 /// scenarios require s.channel_free and go through the busy-tone
 /// synchronizer.  A run that exhausts s.max_rounds rounds/slots reports

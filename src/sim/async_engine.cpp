@@ -20,14 +20,7 @@ AsyncEngine::AsyncEngine(const Graph& g, const AsyncProcessFactory& factory,
   core_.slot_buckets().reset(n, kTicksPerSlot,
                              std::uint64_t{max_delay_slots} + 2);
   last_write_slot_.assign(n, static_cast<std::uint64_t>(-1));
-  processes_.reserve(n);
-  finished_flag_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    processes_.push_back(factory(core_.view(v)));
-    MMN_REQUIRE(processes_.back() != nullptr, "factory returned null process");
-    finished_flag_.push_back(processes_.back()->finished() ? 1 : 0);
-  }
-  outstanding_ = initial_outstanding(finished_flag_, core_.scheduler().shards());
+  processes_ = core_.spawn(factory);
 }
 
 AsyncEngine::~AsyncEngine() = default;
@@ -49,17 +42,6 @@ const AsyncProcess& AsyncEngine::process(NodeId v) const {
   return *processes_[v];
 }
 
-/// Folds the node's finished-transition (if any) into its shard's
-/// outstanding counter; called right after the node's handlers ran, so the
-/// batched count stays exact without an O(n) scan per slot.
-void AsyncEngine::note_finished(unsigned shard, NodeId v) {
-  const char done = processes_[v]->finished() ? 1 : 0;
-  if (done != finished_flag_[v]) {
-    finished_flag_[v] = done;
-    outstanding_[shard].count += done ? -1 : 1;
-  }
-}
-
 void AsyncEngine::start_node(unsigned shard, NodeId v) {
   const EpochOverlay* overlay = nullptr;
   if (faults_ != nullptr) [[unlikely]] {
@@ -70,18 +52,20 @@ void AsyncEngine::start_node(unsigned shard, NodeId v) {
                    slot_index_, max_delay_ticks_, &last_write_slot_[v],
                    /*now=*/0, overlay);
   processes_[v]->start(ctx);
-  note_finished(shard, v);
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
-void AsyncEngine::start_processes() {
+/// One phase of a slot: `Body` at every node under the scheduler, then the
+/// shard-ordered commit.
+template <void (AsyncEngine::*Body)(unsigned, NodeId)>
+void AsyncEngine::run_phase() {
   core_.scheduler().for_each_node(
-      core_.num_nodes(), Scheduler::NodeFn{
-                             [](void* env, unsigned s, NodeId v) {
-                               static_cast<AsyncEngine*>(env)->start_node(s, v);
-                             },
-                             this});
+      core_.num_nodes(),
+      Scheduler::NodeFn{[](void* env, unsigned s, NodeId v) {
+                          (static_cast<AsyncEngine*>(env)->*Body)(s, v);
+                        },
+                        this});
   core_.commit_async_phase();
-  started_ = true;
 }
 
 void AsyncEngine::deliver_node(unsigned shard, NodeId v) {
@@ -110,7 +94,7 @@ void AsyncEngine::deliver_node(unsigned shard, NodeId v) {
     const Received msg{m.from, m.via, &buckets.payload(m.ref)};
     processes_[v]->on_message(msg, ctx);
   }
-  note_finished(shard, v);
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 void AsyncEngine::run_delivery_phase() {
@@ -122,18 +106,11 @@ void AsyncEngine::run_delivery_phase() {
   // that triggered it, so each sub-round's earliest delivery tick strictly
   // grows and the loop runs at most kTicksPerSlot times per slot.
   while (buckets.stage(slot_index_) > 0) {
-    core_.scheduler().for_each_node(
-        core_.num_nodes(),
-        Scheduler::NodeFn{[](void* env, unsigned s, NodeId v) {
-                            static_cast<AsyncEngine*>(env)->deliver_node(s, v);
-                          },
-                          this});
-    core_.commit_async_phase();
+    run_phase<&AsyncEngine::deliver_node>();
   }
 }
 
-void AsyncEngine::fanout_node(unsigned shard, NodeId v,
-                              const SlotObservation& obs) {
+void AsyncEngine::fanout_node(unsigned shard, NodeId v) {
   const EpochOverlay* overlay = nullptr;
   if (faults_ != nullptr) [[unlikely]] {
     overlay = &faults_->overlay();
@@ -142,23 +119,8 @@ void AsyncEngine::fanout_node(unsigned shard, NodeId v,
   AsyncContext ctx(core_.view(v), core_.rng(v), core_.shard(shard),
                    slot_index_, max_delay_ticks_, &last_write_slot_[v],
                    slot_index_ * kTicksPerSlot, overlay);
-  processes_[v]->on_slot(obs, ctx);
-  note_finished(shard, v);
-}
-
-void AsyncEngine::run_slot_fanout(const SlotObservation& obs) {
-  struct FanoutEnv {
-    AsyncEngine* engine;
-    const SlotObservation* obs;
-  } env{this, &obs};
-  core_.scheduler().for_each_node(
-      core_.num_nodes(),
-      Scheduler::NodeFn{[](void* e, unsigned s, NodeId v) {
-                          auto* fe = static_cast<FanoutEnv*>(e);
-                          fe->engine->fanout_node(s, v, *fe->obs);
-                        },
-                        &env});
-  core_.commit_async_phase();
+  processes_[v]->on_slot(slot_obs_, ctx);
+  core_.note_finished(shard, v, processes_[v]->finished());
 }
 
 bool AsyncEngine::step(std::uint64_t slots) {
@@ -169,7 +131,8 @@ bool AsyncEngine::step(std::uint64_t slots) {
     if (faults_ != nullptr) [[unlikely]] {
       faults_->apply_slot(slot_index_, core_.discipline());
     }
-    start_processes();
+    run_phase<&AsyncEngine::start_node>();
+    started_ = true;
   }
   for (std::uint64_t i = 0; i < slots; ++i) {
     if (status_ == RunStatus::kCompleted) return true;
@@ -183,11 +146,11 @@ bool AsyncEngine::step(std::uint64_t slots) {
     // the outcome fans out to every node (which may start the next slot's
     // writes and sends).
     run_delivery_phase();
-    const SlotObservation obs = core_.resolve_slot();
+    slot_obs_ = core_.resolve_slot();
     ++core_.metrics().rounds;
     ++slot_index_;
-    run_slot_fanout(obs);
-    if (all_finished() && core_.slot_buckets().in_flight() == 0 &&
+    run_phase<&AsyncEngine::fanout_node>();
+    if (core_.all_finished() && core_.slot_buckets().in_flight() == 0 &&
         core_.channel_idle()) {
       status_ = RunStatus::kCompleted;
     }

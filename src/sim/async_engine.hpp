@@ -278,22 +278,19 @@ class AsyncEngine {
   NodeId num_nodes() const { return core_.num_nodes(); }
 
  private:
-  bool all_finished() const { return none_outstanding(outstanding_); }
-  void start_processes();
+  template <void (AsyncEngine::*Body)(unsigned, NodeId)>
+  void run_phase();
   void start_node(unsigned shard, NodeId v);
   void run_delivery_phase();
   void deliver_node(unsigned shard, NodeId v);
-  void run_slot_fanout(const SlotObservation& obs);
-  void fanout_node(unsigned shard, NodeId v, const SlotObservation& obs);
-  void note_finished(unsigned shard, NodeId v);
+  void fanout_node(unsigned shard, NodeId v);
 
   RuntimeCore core_;
   std::vector<std::unique_ptr<AsyncProcess>> processes_;
   std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   std::vector<std::uint64_t> last_write_slot_;  // per-node write dedup
-  std::vector<char> finished_flag_;  // per node; char: shard-safe writes
-  std::vector<ShardOutstanding> outstanding_;  // batched finished() probe
   std::uint64_t slot_index_ = 0;
+  SlotObservation slot_obs_;  ///< the resolved slot being fanned out
   std::uint32_t max_delay_ticks_;
   bool started_ = false;
   RunStatus status_ = RunStatus::kRunning;

@@ -20,6 +20,13 @@
 // on a transition, and the engine sums the handful of shard counters after
 // the barrier — no per-node delta staging, no O(n) scan.
 //
+// The same engine runs one rank of a sharded multi-process run: built from
+// a RankSpec and a shard_comm::Transport (sim/rank.hpp), the core owns
+// only the rank's node window, and RankExchange (sim/rank_exchange.hpp)
+// carries every cross-window effect after the node phase, so node step,
+// termination and round commit are this file's and RuntimeCore's at any
+// rank count.
+//
 // The per-node hot path is devirtualized end to end: the scheduler reaches
 // node_round through a raw function pointer, and NodeContext is a concrete
 // final class (sim/runtime_core.hpp) staging effects straight into the
@@ -41,6 +48,7 @@ namespace mmn::sim {
 
 class FaultPlan;
 class FaultRuntime;
+struct RankSpec;
 
 class Engine {
  public:
@@ -56,6 +64,15 @@ class Engine {
   Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed,
          std::unique_ptr<Scheduler> scheduler,
          std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+  /// One rank of a sharded run over `spec`'s window, which must equal
+  /// Scheduler::shard_range(n, rank, ranks) and match the transport.  `g`
+  /// may be a windowed build (its owned rows cover the window); `factory`
+  /// sees owned views only.  Every rank must pass the same seed and
+  /// discipline, and step with the same budget (they exchange every round
+  /// and decide termination on identical global state).  Serial per rank.
+  Engine(const Graph& g, const RankSpec& spec, const ProcessFactory& factory,
+         std::uint64_t seed, shard_comm::Transport& transport,
+         std::unique_ptr<ChannelDiscipline> discipline);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -80,49 +97,44 @@ class Engine {
   /// called before the first round; the plan's events apply at slot
   /// boundaries, before the round's node phase.  One installation per
   /// engine — recovery flows build a fresh engine on the compacted graph.
+  /// Every rank of a sharded run installs the identical full plan, so
+  /// overlay liveness and discipline stifles agree across ranks.
   void install_faults(const FaultPlan& plan);
 
   /// The installed fault runtime (stats + overlay), or null.
   const FaultRuntime* faults() const { return faults_.get(); }
   FaultRuntime* faults() { return faults_.get(); }
 
+  /// In rank mode, slot/round counters are exact replicas of the
+  /// single-process run's; p2p_messages counts only sends by owned nodes.
   const Metrics& metrics() const { return core_.metrics(); }
 
   /// Per-class delay/backlog accounting of open-loop workloads
   /// (sim/traffic.hpp); untouched by closed-loop protocols.
   const LatencyRecorder& latency() const { return core_.latency(); }
 
-  /// Direct access to a node's process (for reading results and tests).
-  /// Mutating a process so that finished() changes outside of round() breaks
-  /// the engine's incrementally maintained finished count — finished() must
-  /// only change inside round() calls.
+  /// Direct access to a node's process by global id (owned nodes only in
+  /// rank mode), for reading results and tests.  Mutating a process so
+  /// that finished() changes outside of round() breaks the engine's
+  /// incrementally maintained finished count — finished() must only change
+  /// inside round() calls.
   Process& process(NodeId v);
   const Process& process(NodeId v) const;
   NodeId num_nodes() const { return core_.num_nodes(); }
 
+  /// Rank mode: cross-shard messages this rank sent, and edges with
+  /// exactly one endpoint in its window.  Both 0 in a single process.
+  std::uint64_t xshard_msgs() const { return core_.xshard_msgs(); }
+  std::uint64_t boundary_edges() const { return core_.boundary_edges(); }
+
  private:
-  bool all_finished() const;
-  void node_round(unsigned shard, NodeId v);
+  void node_round(unsigned shard, NodeId i);
   void run_one_round();
 
   RuntimeCore core_;
-  std::vector<std::unique_ptr<Process>> processes_;
+  std::vector<std::unique_ptr<Process>> processes_;  ///< window-local
   std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   RunStatus status_ = RunStatus::kRunning;
-  std::vector<char> finished_flag_;  // per node; char: shard-safe writes
-  /// Per-shard count of unfinished nodes in the shard's static node range.
-  /// Written only by the shard's own worker (cache-line aligned), summed by
-  /// the driver after the barrier — the batched finished() probe.
-  std::vector<ShardOutstanding> outstanding_;
 };
-
-/// Convenience: builds the engine, runs to completion, returns metrics.
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds);
-
-/// As above, under the given scheduler.
-Metrics run_network(const Graph& g, const ProcessFactory& factory,
-                    std::uint64_t seed, std::uint64_t max_rounds,
-                    std::unique_ptr<Scheduler> scheduler);
 
 }  // namespace mmn::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "sim/channel_discipline.hpp"
 #include "support/check.hpp"
@@ -144,23 +145,24 @@ FaultPlan FaultPlan::node_churn(const Graph& g, double rate,
   Rng root(seed);
   Rng rng = root.fork(kFaultStream + 1);
   const NodeId n = g.num_nodes();
-  std::vector<std::uint64_t> down_until(n, 0);
-  std::uint32_t down_now = 0;
+  std::vector<char> down(n, 0);
+  // Every crash recovers exactly down_slots later, so recoveries fall due
+  // in crash order: a FIFO of (recovery slot, node) finds them without
+  // scanning all n nodes every slot.
+  std::vector<std::pair<std::uint64_t, NodeId>> pending;
+  std::size_t head = 0;
   const std::uint32_t max_down = std::max<std::uint32_t>(1, n / 8);
   for (std::uint64_t s = 1; s < horizon; ++s) {
     // Recoveries fire before new crashes so the down budget frees up.
-    for (NodeId v = 0; v < n; ++v) {
-      if (down_until[v] != 0 && down_until[v] == s) {
-        down_until[v] = 0;
-        --down_now;
-      }
+    while (head < pending.size() && pending[head].first == s) {
+      down[pending[head++].second] = 0;
     }
     if (!rng.next_bernoulli(rate)) continue;
-    if (down_now >= max_down) continue;
+    if (pending.size() - head >= max_down) continue;
     const auto v = static_cast<NodeId>(rng.next_below(n));
-    if (down_until[v] != 0) continue;  // already down
-    down_until[v] = s + down_slots;
-    ++down_now;
+    if (down[v] != 0) continue;  // already down
+    down[v] = 1;
+    pending.emplace_back(s + down_slots, v);
     plan.add({s, FaultKind::kNodeCrash, v});
     plan.add({s + down_slots, FaultKind::kNodeRecover, v});
   }

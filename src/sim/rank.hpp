@@ -1,54 +1,13 @@
-// Sharded synchronous execution: one rank per OS process, each stepping a
-// contiguous node window of the topology through the slot-phase round loop.
-//
-// Ownership model ("replicated channel, sharded nodes"): rank r of K owns
-// the window Scheduler::shard_range(n, r, K) of a windowed CSR arena
-// (graph/generators.hpp, build_topology_window) — views, RNG streams,
-// processes, and the delivery arena exist only for owned nodes.  The
-// multi-access channel is NOT sharded: every rank holds a replica of the
-// channel and its discipline, feeds it the identical rank-major merged
-// write list each slot, and so resolves every slot to the identical
-// observation without a coordinator — disciplines are deterministic
-// functions of the committed write sequence and the seed
-// (sim/channel_discipline.hpp).
-//
-// Per round, each pair of ranks swaps one batched blob (shard_comm.hpp):
-//   * the cross-shard MsgHeaders owned-sender -> peer-owned-destination,
-//     with their pooled payloads (consecutive-equal-ref broadcast runs ship
-//     one payload, the interning of PR 6 carried onto the wire);
-//   * the rank's channel writes (replicated to every peer);
-//   * the rank's outstanding (not-yet-finished) node count.
-// Each rank then merges: ingress buffers indexed by source rank feed one
-// MessageArena::flip — ascending rank order concatenates to exactly the
-// ascending-node serial send order, so the stable counting sort delivers
-// bit-identical inboxes (the PR 1 determinism proof, extended across the
-// wire); channel writes merge rank-major into the replicated discipline;
-// outstanding counts sum into the same global termination predicate
-// Engine::step evaluates, checked before each round on every rank — all
-// ranks stop on the same round with no extra handshake.
-//
-// Fault plans replay identically on every rank (they are plan-time-drawn
-// from the full graph — sim/fault.hpp), so overlay state and discipline
-// stifles stay replicated under --faults churn too.  Scope: the synchronous
-// Engine loop only; AsyncEngine ranks would stamp (tick, seq) across the
-// same Transport seam and are future work.
+// Sharded synchronous execution: one rank per OS process, each running the
+// ordinary Engine over a contiguous node window of the topology, with the
+// cross-window seams in one module (sim/rank_exchange.hpp) behind a
+// shard_comm::Transport (sim/shard_comm.hpp).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "graph/graph.hpp"
-#include "sim/channel.hpp"
-#include "sim/channel_discipline.hpp"
-#include "sim/runtime_core.hpp"
-#include "sim/shard_comm.hpp"
-#include "support/metrics.hpp"
+#include "sim/engine.hpp"
 
 namespace mmn::sim {
-
-class FaultPlan;
-class FaultRuntime;
 
 /// This rank's slice of the node set: shard_range(n, rank, ranks).
 struct RankSpec {
@@ -58,110 +17,8 @@ struct RankSpec {
   NodeId hi = 0;
 };
 
-/// The synchronous Engine's stepping policy over one node window, with the
-/// cross-window seams routed through a Transport.  Mirrors Engine's
-/// surface: step/run semantics, install_faults, process access (global node
-/// ids, owned window only).
-class RankEngine {
- public:
-  /// `g` must be a windowed (or full, for ranks == 1) build of the topology
-  /// whose owned rows cover [spec.lo, spec.hi); it must outlive the engine.
-  /// `factory` sees owned views only.  The discipline must be constructed
-  /// identically on every rank (same kind, same seed).
-  RankEngine(const Graph& g, const RankSpec& spec,
-             const ProcessFactory& factory, std::uint64_t seed,
-             shard_comm::Transport& transport,
-             std::unique_ptr<ChannelDiscipline> discipline);
-  ~RankEngine();
-
-  RankEngine(const RankEngine&) = delete;
-  RankEngine& operator=(const RankEngine&) = delete;
-
-  /// Engine::install_faults, replicated: every rank replays the full plan,
-  /// so overlay liveness and discipline stifles agree everywhere.  Must be
-  /// called before the first round, with the identical plan on every rank.
-  void install_faults(const FaultPlan& plan);
-
-  /// Engine::step over the window: runs at most `rounds` additional rounds;
-  /// true when every node of every rank finished and the replicated channel
-  /// is idle.  All ranks must call with the same budget (they exchange
-  /// every round and decide termination on identical global state).
-  bool step(std::uint64_t rounds);
-
-  RunStatus status() const { return status_; }
-
-  /// This rank's metrics: slot/round counters are exact replicas of the
-  /// serial run's; p2p_messages counts only sends by owned nodes (sum over
-  /// ranks to compare with a serial run).
-  const Metrics& metrics() const { return metrics_; }
-
-  const FaultRuntime* faults() const { return faults_.get(); }
-  FaultRuntime* faults() { return faults_.get(); }
-
-  /// Owned process, by GLOBAL node id.
-  Process& process(NodeId v);
-  const Process& process(NodeId v) const;
-
-  const RankSpec& spec() const { return spec_; }
-  NodeId num_owned() const { return spec_.hi - spec_.lo; }
-
-  /// Cross-shard messages this rank sent to peers (headers on the wire).
-  std::uint64_t xshard_msgs() const { return xshard_msgs_; }
-  /// Edges with exactly one endpoint in the window — the frontier the
-  /// cross-shard traffic rides; bench_shard_comm's bytes denominator.
-  std::uint64_t boundary_edges() const { return boundary_edges_; }
-
- private:
-  void node_round(NodeId local);
-  void run_one_round();
-  unsigned owner_of(NodeId v) const;
-  void partition_outbox();
-  void exchange_round();
-  bool all_finished() const {
-    return global_outstanding_ == 0;
-  }
-  bool channel_idle() const {
-    return slot_writes_.empty() && discipline_->backlog() == 0;
-  }
-
-  const Graph* graph_;
-  RankSpec spec_;
-  std::vector<NodeId> bounds_;  ///< ranks + 1 window bounds, owner lookup
-  shard_comm::Transport* transport_;
-  std::unique_ptr<ChannelDiscipline> discipline_;
-  Channel channel_;
-
-  std::vector<LocalView> views_;  ///< owned nodes only, index = v - lo
-  std::vector<Rng> rngs_;
-  std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<char> finished_flag_;
-  std::int64_t local_outstanding_ = 0;
-  std::int64_t global_outstanding_ = 0;
-
-  ShardBuffer staging_;  ///< the round's node effects, pre-partition
-  LatencyRecorder latency_;
-  /// Ingress buffers, one per source rank; flip() concatenates them in
-  /// ascending rank order = ascending sender order = the serial send order.
-  std::vector<ShardBuffer> ingress_;
-  MessageArena arena_;  ///< window-sized: inbox(v - lo)
-
-  std::vector<ChannelWrite> slot_writes_;  ///< rank-major merged, per slot
-  SlotObservation slot_;
-  Metrics metrics_;
-  std::unique_ptr<FaultRuntime> faults_;
-  RunStatus status_ = RunStatus::kRunning;
-  std::uint64_t round_ = 0;
-
-  /// Per-peer wire scratch, all held at high-water capacity.
-  std::vector<std::vector<MsgHeader>> out_headers_;   ///< per dst rank
-  std::vector<std::vector<std::uint8_t>> out_payload_;  ///< per dst rank
-  std::vector<std::uint8_t> out_blob_;
-  std::vector<std::uint8_t> in_blob_;
-  std::vector<std::vector<ChannelWrite>> peer_writes_;  ///< per src rank
-  std::vector<std::int64_t> peer_outstanding_;
-
-  std::uint64_t xshard_msgs_ = 0;
-  std::uint64_t boundary_edges_ = 0;
-};
+/// One rank's engine is the Engine built from a RankSpec; the name stays
+/// for callers that spell the sharded engine out.
+using RankEngine = Engine;
 
 }  // namespace mmn::sim

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <tuple>
 
 #include "sim/fault.hpp"
+#include "sim/rank_exchange.hpp"
 #include "support/check.hpp"
 #include "support/simd.hpp"
 
@@ -16,19 +18,6 @@ static_assert(offsetof(MsgHeader, to) == 0 && sizeof(MsgHeader) == 16,
               "flip's histogram reads `to` at offset 0, stride 16");
 static_assert(offsetof(StampedHeader, to) == 16 && sizeof(StampedHeader) == 32,
               "stage's histogram reads `to` at offset 16, stride 32");
-
-std::vector<ShardOutstanding> initial_outstanding(
-    const std::vector<char>& flags, unsigned shards) {
-  std::vector<ShardOutstanding> counts(shards);
-  const auto n = static_cast<NodeId>(flags.size());
-  for (unsigned s = 0; s < shards; ++s) {
-    const auto [first, last] = Scheduler::shard_range(n, s, shards);
-    for (NodeId v = first; v < last; ++v) {
-      counts[s].count += flags[v] ? 0 : 1;
-    }
-  }
-  return counts;
-}
 
 void MessageArena::reset(NodeId n, unsigned shards) {
   n_ = n;
@@ -63,21 +52,35 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
     if (empty_) return;
     std::fill(next_offsets_.begin(), next_offsets_.end(), 0);
     next_buf_.clear();
-    for (unsigned s = 0; s < shards.size(); ++s) {
-      shards[s].pool.swap(next_pools_[s]);
-      shards[s].pool_used = 0;
-      shards[s].pool_bytes = 0;
-    }
-    buf_.swap(next_buf_);
-    offsets_.swap(next_offsets_);
-    pools_.swap(next_pools_);
     empty_ = true;
-    return;
+  } else {
+    empty_ = false;
+    bytes_moved_ +=
+        total * (sizeof(MsgHeader) + sizeof(Received)) + payload_bytes;
+    next_buf_.resize(total);
+    sort_into_next(shards, total);
   }
-  empty_ = false;
-  bytes_moved_ +=
-      total * (sizeof(MsgHeader) + sizeof(Received)) + payload_bytes;
-  next_buf_.resize(total);
+
+  for (unsigned s = 0; s < shards.size(); ++s) {
+    ShardBuffer& sb = shards[s];
+    sb.outbox.clear();
+    // Recycle: the freshly staged payload buffer moves into next_pools_ (it
+    // backs next_buf_, the round about to run); the shard gets the buffer
+    // from two flips ago back — no longer referenced — with its slots held
+    // at the high-water mark (pool_used rewinds to 0; the stale contents
+    // are overwritten live-prefix-first by the next round's staging), so
+    // steady-state staging never allocates or zero-fills.
+    sb.pool.swap(next_pools_[s]);
+    sb.pool_used = 0;
+    sb.pool_bytes = 0;
+  }
+  buf_.swap(next_buf_);
+  offsets_.swap(next_offsets_);
+  pools_.swap(next_pools_);
+}
+
+void MessageArena::sort_into_next(std::vector<ShardBuffer>& shards,
+                                  std::size_t total) {
 
   // POOL STABILITY: both paths below hoist sb.pool.data() and resolve every
   // header against it.  flip runs single-threaded after the round barrier
@@ -147,23 +150,6 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
       }
     }
   }
-
-  for (unsigned s = 0; s < shards.size(); ++s) {
-    ShardBuffer& sb = shards[s];
-    sb.outbox.clear();
-    // Recycle: the freshly staged payload buffer moves into next_pools_ (it
-    // backs next_buf_, the round about to run); the shard gets the buffer
-    // from two flips ago back — no longer referenced — with its slots held
-    // at the high-water mark (pool_used rewinds to 0; the stale contents
-    // are overwritten live-prefix-first by the next round's staging), so
-    // steady-state staging never allocates or zero-fills.
-    sb.pool.swap(next_pools_[s]);
-    sb.pool_used = 0;
-    sb.pool_bytes = 0;
-  }
-  buf_.swap(next_buf_);
-  offsets_.swap(next_offsets_);
-  pools_.swap(next_pools_);
 }
 
 void SlotBuckets::reset(NodeId n, std::uint64_t ticks_per_slot,
@@ -262,29 +248,67 @@ std::size_t SlotBuckets::stage(std::uint64_t slot) {
 
 RuntimeCore::RuntimeCore(const Graph& g, std::uint64_t seed,
                          std::unique_ptr<Scheduler> scheduler,
-                         std::unique_ptr<ChannelDiscipline> discipline)
+                         std::unique_ptr<ChannelDiscipline> discipline,
+                         shard_comm::Transport* transport)
     : graph_(&g),
       scheduler_(scheduler ? std::move(scheduler)
                            : std::make_unique<SerialScheduler>()),
       discipline_(discipline ? std::move(discipline)
                              : std::make_unique<FreeForAllDiscipline>()) {
   const NodeId n = g.num_nodes();
+  NodeId hi = n;
+  if (transport != nullptr && transport->ranks() > 1) {
+    std::tie(lo_, hi) =
+        Scheduler::shard_range(n, transport->rank(), transport->ranks());
+    exchange_ = std::make_unique<RankExchange>(g, lo_, hi, *transport);
+  }
   // Views are O(n) pointer setup over the graph's shared CSR arena — no
   // per-node adjacency copy, no per-node edge index (see graph/graph.hpp).
-  views_.resize(n);
-  rngs_.reserve(n);
-  Rng root(seed);
-  for (NodeId v = 0; v < n; ++v) {
-    views_[v] = LocalView{v, n, &g};
+  // The per-node streams are forked from the same root on every rank
+  // (Rng::fork is pure), so owned nodes draw exactly the single-process
+  // run's sequences without replaying unowned forks.
+  views_.resize(hi - lo_);
+  rngs_.reserve(hi - lo_);
+  const Rng root(seed);
+  for (NodeId v = lo_; v < hi; ++v) {
+    views_[v - lo_] = LocalView{v, n, &g};
     rngs_.push_back(root.fork(v));
   }
-  shards_.resize(scheduler_->shards());
-  latency_.reset(scheduler_->shards());
-  for (unsigned s = 0; s < scheduler_->shards(); ++s) {
+  const unsigned shards = scheduler_->shards();
+  shards_.resize(shards);
+  latency_.reset(shards);
+  for (unsigned s = 0; s < shards; ++s) {
     shards_[s].latency = &latency_.block(s);
   }
-  arena_.reset(n, scheduler_->shards());
-  discipline_->reset(n);
+  // Rank mode flips the per-source-rank ingress buffers, not the shards.
+  arena_.reset(owned(), exchange_ ? transport->ranks() : shards);
+  discipline_->reset(n);  // the (replicated) channel spans ALL n nodes
+}
+
+RuntimeCore::~RuntimeCore() = default;
+
+void RuntimeCore::count_outstanding() {
+  const unsigned shards = scheduler_->shards();
+  outstanding_.assign(shards, ShardOutstanding{});
+  std::int64_t local = 0;
+  for (unsigned s = 0; s < shards; ++s) {
+    const auto [first, last] = Scheduler::shard_range(owned(), s, shards);
+    for (NodeId i = first; i < last; ++i) {
+      outstanding_[s].count += finished_flag_[i] ? 0 : 1;
+    }
+    local += outstanding_[s].count;
+  }
+  // The termination predicate is checked before the first round, so the
+  // windows' initial counts are swapped once up front.
+  if (exchange_) peer_outstanding_ = exchange_->swap_outstanding(local);
+}
+
+std::uint64_t RuntimeCore::xshard_msgs() const {
+  return exchange_ ? exchange_->xshard_msgs() : 0;
+}
+
+std::uint64_t RuntimeCore::boundary_edges() const {
+  return exchange_ ? exchange_->boundary_edges() : 0;
 }
 
 SlotObservation RuntimeCore::resolve_slot() {
@@ -295,7 +319,7 @@ SlotObservation RuntimeCore::resolve_slot() {
 }
 
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
-  scheduler_->for_each_node(num_nodes(), fn);
+  scheduler_->for_each_node(owned(), fn);
   for (ShardBuffer& sb : shards_) {
     for (ChannelWrite& w : sb.channel_writes) {
       slot_writes_.push_back(std::move(w));
@@ -308,8 +332,15 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
       sb.fault_drops = 0;
     }
   }
+  std::vector<ShardBuffer>* delivered = &shards_;
+  if (exchange_ != nullptr) [[unlikely]] {
+    std::int64_t local = 0;
+    for (const ShardOutstanding& o : outstanding_) local += o.count;
+    peer_outstanding_ = exchange_->exchange_round(shards_, slot_writes_, local);
+    delivered = &exchange_->ingress();
+  }
   slot_ = resolve_slot();
-  arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
+  arena_.flip(*delivered);  // clears the outboxes, recycles the pools
   ++round_;
   ++metrics_.rounds;
 }

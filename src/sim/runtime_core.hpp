@@ -47,6 +47,10 @@
 namespace mmn::sim {
 
 class FaultRuntime;
+class RankExchange;
+namespace shard_comm {
+class Transport;
+}
 
 /// Outcome of an engine's last step()/run() call.  Shared by both stepping
 /// policies: AsyncEngine has reported it since PR 2; the synchronous Engine
@@ -185,7 +189,7 @@ struct alignas(64) ShardBuffer {
 };
 
 /// One shard's count of not-yet-finished nodes within its static node range
-/// (Scheduler::shard_range).  The engines batch the per-node finished()
+/// (Scheduler::shard_range).  RuntimeCore batches the per-node finished()
 /// probe into these counters: a probe only touches the counter on a
 /// finished-transition, each counter is written exclusively by its shard's
 /// worker (cache-line aligned — adjacent shards run on different threads),
@@ -194,19 +198,6 @@ struct alignas(64) ShardBuffer {
 struct alignas(64) ShardOutstanding {
   std::int64_t count = 0;
 };
-
-/// Initial per-shard outstanding counts for n nodes whose finished flags are
-/// `flags` (flags[v] != 0 means finished), sharded like the scheduler.
-std::vector<ShardOutstanding> initial_outstanding(
-    const std::vector<char>& flags, unsigned shards);
-
-/// True when no shard has unfinished nodes left.
-inline bool none_outstanding(const std::vector<ShardOutstanding>& counts) {
-  for (const ShardOutstanding& s : counts) {
-    if (s.count != 0) return false;
-  }
-  return true;
-}
 
 /// Per-round API handed to a Process.  All sends happen "this round" and are
 /// delivered next round; at most one channel write per round.
@@ -513,6 +504,10 @@ class MessageArena {
   std::uint64_t bytes_moved() const { return bytes_moved_; }
 
  private:
+  /// The sparse or dense counting sort of `total` staged headers into
+  /// next_buf_ / next_offsets_.
+  void sort_into_next(std::vector<ShardBuffer>& shards, std::size_t total);
+
   /// One sparse-path entry: the destination and stable rank as sort key
   /// plus the fully resolved delivery record (headers from different shards
   /// resolve into different pools, so the pointer must be bound pre-sort).
@@ -626,7 +621,15 @@ class SlotBuckets {
   PacketPool pool_;                     ///< payloads, commit -> delivery
 };
 
-/// The substrate both engines execute on.
+/// The substrate both engines execute on, over a node window.
+///
+/// Outside rank mode the window is the whole node set [0, n).  Given a
+/// transport of K > 1 ranks, it is this rank's
+/// Scheduler::shard_range(n, rank, K) (sim/rank_exchange.hpp): views, RNG
+/// streams, finished flags, shard buffers and the delivery arena exist only
+/// for owned nodes, while the channel discipline and metrics still span all
+/// n.  Per-node accessors take window-local indices i, node lo() + i — the
+/// node id itself outside rank mode.
 class RuntimeCore {
  public:
   /// Builds views, per-node RNG streams forked from `seed`, the channel,
@@ -634,38 +637,84 @@ class RuntimeCore {
   /// graph's CSR arena (O(n) pointer setup, no adjacency copies), so `g`
   /// must outlive the core and every engine built on it.  A null scheduler
   /// means serial; a null discipline means free-for-all (the bare Section 2
-  /// channel).
+  /// channel).  A transport of more than one rank makes the core one rank
+  /// of a sharded run: `g` may then be a windowed build covering the owned
+  /// rows, and every rank must pass the same seed and discipline.
   RuntimeCore(const Graph& g, std::uint64_t seed,
               std::unique_ptr<Scheduler> scheduler = nullptr,
-              std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+              std::unique_ptr<ChannelDiscipline> discipline = nullptr,
+              shard_comm::Transport* transport = nullptr);
+  ~RuntimeCore();
 
   RuntimeCore(const RuntimeCore&) = delete;
   RuntimeCore& operator=(const RuntimeCore&) = delete;
 
-  NodeId num_nodes() const { return static_cast<NodeId>(views_.size()); }
+  /// Global node count n.
+  NodeId num_nodes() const { return graph_->num_nodes(); }
+  /// First owned node, and the number of owned nodes.
+  NodeId lo() const { return lo_; }
+  NodeId owned() const { return static_cast<NodeId>(views_.size()); }
   const Graph& graph() const { return *graph_; }
-  const LocalView& view(NodeId v) const { return views_[v]; }
-  Rng& rng(NodeId v) { return rngs_[v]; }
+  const LocalView& view(NodeId i) const { return views_[i]; }
+  Rng& rng(NodeId i) { return rngs_[i]; }
   Channel& channel() { return channel_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const SlotObservation& slot() const { return slot_; }
   std::uint64_t round() const { return round_; }
-  std::span<const Received> inbox(NodeId v) const { return arena_.inbox(v); }
+  std::span<const Received> inbox(NodeId i) const { return arena_.inbox(i); }
   Scheduler& scheduler() { return *scheduler_; }
   ShardBuffer& shard(unsigned s) { return shards_[s]; }
   ChannelDiscipline& discipline() { return *discipline_; }
+
+  /// Builds one process per owned node through `factory` (views are fully
+  /// built first, so the vector never reallocates under a process) and
+  /// seeds the finished tracking from their initial finished() probes.
+  template <typename P>
+  std::vector<std::unique_ptr<P>> spawn(
+      const std::function<std::unique_ptr<P>(const LocalView&)>& factory) {
+    std::vector<std::unique_ptr<P>> processes;
+    processes.reserve(owned());
+    finished_flag_.reserve(owned());
+    for (const LocalView& view : views_) {
+      processes.push_back(factory(view));
+      MMN_REQUIRE(processes.back() != nullptr, "factory returned null process");
+      finished_flag_.push_back(processes.back()->finished() ? 1 : 0);
+    }
+    count_outstanding();
+    return processes;
+  }
+
+  /// Folds node i's finished() probe, taken right after its handlers ran,
+  /// into its shard's outstanding counter.  Touches the counter only on a
+  /// transition, so termination stays exact without an O(n) scan per round.
+  void note_finished(unsigned shard, NodeId i, bool finished) {
+    const char done = finished ? 1 : 0;
+    if (done != finished_flag_[i]) {
+      finished_flag_[i] = done;
+      outstanding_[shard].count += done ? -1 : 1;
+    }
+  }
+
+  /// True when no node of any window is unfinished.
+  bool all_finished() const {
+    if (peer_outstanding_ != 0) return false;
+    for (const ShardOutstanding& s : outstanding_) {
+      if (s.count != 0) return false;
+    }
+    return true;
+  }
 
   /// Installs the fault runtime whose drop counters the commit paths merge
   /// into (null = fault-free; the default).  Owned by the engine.
   void set_fault_runtime(FaultRuntime* faults) { faults_ = faults; }
   FaultRuntime* fault_runtime() { return faults_; }
 
-  /// One lockstep round: runs `fn` over every node under the scheduler, then
-  /// commits deterministically — channel writes and p2p sends merged in
-  /// ascending shard order, slot resolved, arena flipped, round advanced.
-  /// (Termination tracking lives with the engines' per-shard outstanding
-  /// counters; the core commits only message/channel effects.)
+  /// One lockstep round: runs `fn` over every owned node under the
+  /// scheduler, then commits deterministically — channel writes and p2p
+  /// sends merged in ascending shard order (and, in rank mode, swapped with
+  /// the peers and merged in ascending rank order), slot resolved, arena
+  /// flipped, round advanced.
   void run_round(Scheduler::NodeFn fn);
 
   /// Resolves the current slot through the channel discipline: the staged
@@ -697,8 +746,16 @@ class RuntimeCore {
   /// committed state is identical under any scheduler.
   void commit_async_phase();
 
+  /// Rank mode's cross-shard messages sent and window boundary edges
+  /// (sim/rank_exchange.hpp); both 0 outside rank mode.
+  std::uint64_t xshard_msgs() const;
+  std::uint64_t boundary_edges() const;
+
  private:
+  void count_outstanding();
+
   const Graph* graph_;
+  NodeId lo_ = 0;
   std::vector<LocalView> views_;
   std::vector<Rng> rngs_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -713,6 +770,14 @@ class RuntimeCore {
   Metrics metrics_;
   FaultRuntime* faults_ = nullptr;  ///< engine-owned; drops merge here
   std::uint64_t round_ = 0;
+  std::vector<char> finished_flag_;  // per owned node; char: shard-safe
+  /// Per-shard count of unfinished nodes in the shard's static node range.
+  /// Written only by the shard's own worker (cache-line aligned), summed
+  /// after the barrier — the batched finished() probe.
+  std::vector<ShardOutstanding> outstanding_;
+  /// Null outside rank mode: a single process allocates no rank scratch.
+  std::unique_ptr<RankExchange> exchange_;
+  std::int64_t peer_outstanding_ = 0;  ///< other windows' unfinished nodes
 };
 
 }  // namespace mmn::sim

@@ -8,7 +8,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstring>
+#include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -151,29 +156,66 @@ class SocketMesh final : public Transport {
   std::uint64_t bytes_in_ = 0;
 };
 
-/// ranks == 1: no peers, nothing to fork.
-class LoopbackTransport final : public Transport {
- public:
-  unsigned rank() const override { return 0; }
-  unsigned ranks() const override { return 1; }
-  void exchange(unsigned, const std::uint8_t*, std::size_t,
-                std::vector<std::uint8_t>&) override {
-    MMN_REQUIRE(false, "exchange() on a single-rank transport");
-  }
-  std::uint64_t bytes_out() const override { return 0; }
-  std::uint64_t bytes_in() const override { return 0; }
+/// One failed rank's record on the report pipe; small enough that a write
+/// is atomic (PIPE_BUF), so concurrent failures never interleave.
+struct FailureRecord {
+  std::uint32_t rank = 0;
+  char what[252] = {};
 };
+static_assert(sizeof(FailureRecord) <= PIPE_BUF);
+
+/// Prints the failure to stderr and files it on the report pipe.
+void report_failure(int fd, unsigned rank, const char* what) {
+  std::fprintf(stderr, "mmn: rank %u failed: %s\n", rank, what);
+  FailureRecord rec;
+  rec.rank = rank;
+  std::strncpy(rec.what, what, sizeof(rec.what) - 1);
+  [[maybe_unused]] const ssize_t k = ::write(fd, &rec, sizeof(rec));
+}
+
+/// Names the rank that failed first — its exit code or signal, and its
+/// message — or returns "" when every rank succeeded.  A rank killed by a
+/// signal filed no record and is never a knock-on failure (those exit 1
+/// after filing one), so it comes first; then the first record on the pipe
+/// (all write ends closed, so one read drains a whole atomic record); then
+/// any other abnormal exit.  `status` holds each child's wait status.
+std::string failure_verdict(int fd, const std::vector<int>& status) {
+  FailureRecord rec;
+  ssize_t got;
+  do {
+    got = ::read(fd, &rec, sizeof(rec));
+  } while (got < 0 && errno == EINTR);
+  ::close(fd);
+  const bool reported = got == static_cast<ssize_t>(sizeof(rec));
+  int culprit = -1;
+  for (unsigned r = 1; r < status.size() && culprit < 0; ++r) {
+    if (WIFSIGNALED(status[r])) culprit = static_cast<int>(r);
+  }
+  if (culprit < 0 && reported) culprit = static_cast<int>(rec.rank);
+  for (unsigned r = 1; r < status.size() && culprit < 0; ++r) {
+    if (!WIFEXITED(status[r]) || WEXITSTATUS(status[r]) != 0) {
+      culprit = static_cast<int>(r);
+    }
+  }
+  if (culprit < 0) return {};
+  const int st = status[culprit];
+  std::string verdict = "rank " + std::to_string(culprit) + " of " +
+                        std::to_string(status.size()) + " failed";
+  if (WIFSIGNALED(st)) {
+    verdict += " (killed by signal " + std::to_string(WTERMSIG(st)) + ")";
+  } else if (culprit != 0) {
+    verdict += " (exit code " + std::to_string(WEXITSTATUS(st)) + ")";
+  }
+  if (reported && static_cast<int>(rec.rank) == culprit) {
+    verdict += std::string(": ") + rec.what;
+  }
+  return verdict;
+}
 
 }  // namespace
 
 void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
   MMN_REQUIRE(ranks >= 1 && ranks <= 64, "ranks must be in [1, 64]");
-  if (ranks == 1) {
-    LoopbackTransport t;
-    fn(t);
-    return;
-  }
-
   // Full mesh, built before any fork so every rank inherits its endpoints:
   // pair (i, j), i < j, gets one socketpair; ends[i][j] is i's end.
   std::vector<std::vector<int>> ends(ranks, std::vector<int>(ranks, -1));
@@ -188,6 +230,11 @@ void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
       ends[j][i] = sp[1];
     }
   }
+  // Failure reports, one atomic record per failed rank, in the order the
+  // ranks failed: a rank writes its record before its mesh closes, and its
+  // peers only fail (on the closed sockets) after that.
+  int reports[2];
+  MMN_REQUIRE(::pipe(reports) == 0, "pipe() failed building the rank mesh");
 
   unsigned my_rank = 0;
   std::vector<pid_t> children;
@@ -215,24 +262,36 @@ void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
       }
     }
   }
+  if (my_rank != 0) ::close(reports[0]);
 
+  bool failed = true;
   {
     SocketMesh mesh(my_rank, ranks, std::move(fds));
-    fn(mesh);
+    try {
+      fn(mesh);
+      failed = false;
+    } catch (const std::exception& e) {
+      report_failure(reports[1], my_rank, e.what());
+    } catch (...) {
+      report_failure(reports[1], my_rank, "unknown exception");
+    }
   }
+  ::close(reports[1]);
 
   if (my_rank != 0) {
-    // Skip atexit/static destructors: the child shares the parent's stdio
-    // and test/bench harness state, none of which it owns.
-    ::_exit(0);
+    // Never return into the caller's code: skip atexit/static destructors
+    // too — the child shares the parent's stdio and test/bench harness
+    // state, none of which it owns.
+    ::_exit(failed ? 1 : 0);
   }
-  for (const pid_t pid : children) {
-    int status = 0;
-    const pid_t got = ::waitpid(pid, &status, 0);
-    MMN_REQUIRE(got == pid, "waitpid() failed reaping a rank");
-    MMN_REQUIRE(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-                "a child rank exited abnormally");
+  std::vector<int> status(ranks, 0);
+  for (unsigned r = 1; r < ranks; ++r) {
+    while (::waitpid(children[r - 1], &status[r], 0) < 0) {
+      MMN_ASSERT(errno == EINTR, "waitpid() failed reaping a rank");
+    }
   }
+  const std::string verdict = failure_verdict(reports[0], status);
+  if (!verdict.empty()) throw std::runtime_error(verdict);
 }
 
 }  // namespace mmn::sim::shard_comm

@@ -1,13 +1,12 @@
 // Cross-rank transport for sharded execution.
 //
-// Rank mode (sim/rank.hpp) splits the node set over OS processes; per round
-// each pair of ranks swaps one batched blob — cross-shard MsgHeaders plus
-// their pooled payloads, the rank's channel writes, and its outstanding
-// count.  This header is the seam that keeps the engine code
-// transport-agnostic: Transport is a tiny pairwise-exchange interface, the
-// bundled implementation is an AF_UNIX socketpair full mesh built by
-// fork(), and an MPI backend could drop in behind the same three calls
-// without touching the rank driver.
+// Rank mode splits the node set over OS processes, each running the Engine
+// over its node window; per round each pair of ranks swaps one batched blob
+// whose format sim/rank_exchange.hpp owns.  This header is the seam that
+// keeps the engine code transport-agnostic: Transport is a tiny
+// pairwise-exchange interface, the bundled implementation is an AF_UNIX
+// socketpair full mesh built by fork(), and an MPI backend could drop in
+// behind the same three calls without touching the exchange.
 //
 // The exchange primitive is a *swap*, not a send: both sides of a pair call
 // exchange() with their outgoing blob and receive the peer's.  The
@@ -50,11 +49,15 @@ class Transport {
 
 /// Forks `ranks - 1` child processes and runs `fn(transport)` in every rank
 /// over an AF_UNIX socketpair full mesh (parent = rank 0).  Children _exit
-/// when fn returns; the parent reaps them and requires clean exits, so a
-/// child that trips MMN_REQUIRE fails the whole run.  With ranks == 1 no
-/// fork happens and fn gets a loopback transport with no peers.  Returns
-/// only in the parent.  fn must not spawn threads before exchanging (the
-/// mesh is built pre-fork; rank mode is serial per rank by design).
+/// when fn returns or throws — a child never returns into the caller's
+/// code; a throwing rank prints its error to stderr.  The parent reaps
+/// every child, and if any rank failed throws one std::runtime_error
+/// naming the rank that failed first (its exit code or signal, and its
+/// message), not the peers that failed on its closed sockets afterwards.
+/// With ranks == 1 no fork happens and fn gets a transport with no peers.
+/// Returns only in the parent.  fn must not spawn threads
+/// before exchanging (the mesh is built pre-fork; rank mode is serial per
+/// rank by design).
 void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn);
 
 }  // namespace mmn::sim::shard_comm

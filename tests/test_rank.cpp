@@ -1,14 +1,19 @@
-// Sharded execution (sim/rank.hpp, scenario/rank_run.hpp): windowed graph
-// builds must reproduce the full build's owned rows bit for bit, the
-// socketpair transport must swap arbitrary blobs, and a sharded scenario
-// run must produce the serial run's digest, metrics, and fault stats
-// exactly — including under fault churn — across 1, 2, and 4 ranks.
+// Sharded execution (sim/rank_exchange.hpp, scenario/rank_run.hpp):
+// windowed graph builds must reproduce the full build's owned rows bit for
+// bit, the socketpair transport must swap arbitrary blobs, a failed rank
+// must fail only the caller, and a sharded scenario run must produce the
+// serial run's digest, metrics, and fault stats exactly — including under
+// fault churn — across 1, 2, and 4 ranks, for every registry entry.
 //
 // Child ranks run in forked processes, so in-child checks use MMN_REQUIRE
-// (an aborting child fails the parent's waitpid requirement); gtest
-// EXPECTs live only in rank 0 / parent code.
+// (a throwing child makes run_ranks throw in the parent); gtest EXPECTs
+// live only in rank 0 / parent code.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +102,42 @@ TEST(RankTransport, PairwiseSwapCarriesLopsidedBlobs) {
   });
 }
 
+TEST(RankTransport, FailedRankFailsOnlyTheCaller) {
+  // Every process that comes back from run_ranks reports its pid through
+  // the pipe; only the original process may, and it must throw an error
+  // that blames rank 1, not the peers that failed on its closed sockets.
+  int pids[2];
+  ASSERT_EQ(::pipe(pids), 0);
+  const pid_t original = ::getpid();
+  std::string what;
+  try {
+    sim::shard_comm::run_ranks(3, [](sim::shard_comm::Transport& t) {
+      MMN_REQUIRE(t.rank() != 1, "rank 1 gives up");
+      std::vector<std::uint8_t> in;
+      const std::uint8_t byte = 1;
+      for (unsigned peer = 0; peer < t.ranks(); ++peer) {
+        if (peer != t.rank()) t.exchange(peer, &byte, 1, in);
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  const pid_t me = ::getpid();
+  [[maybe_unused]] const ssize_t wrote = ::write(pids[1], &me, sizeof(me));
+  if (me != original) ::_exit(0);  // an escaped rank: leave quietly
+  ::close(pids[1]);
+  std::vector<pid_t> returned;
+  pid_t pid;
+  while (::read(pids[0], &pid, sizeof(pid)) == sizeof(pid)) {
+    returned.push_back(pid);
+  }
+  ::close(pids[0]);
+  EXPECT_EQ(returned, std::vector<pid_t>{original});
+  EXPECT_NE(what.find("rank 1 of 3 failed (exit code 1)"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("rank 1 gives up"), std::string::npos) << what;
+}
+
 void expect_sharded_matches_serial(const char* name, NodeId n,
                                    std::uint64_t seed, std::uint32_t faults) {
   scenario::register_builtin();
@@ -142,6 +183,32 @@ TEST(RankRun, FaultChurnMatchesSerial) {
   // replication (replicated overlay + stifles) and the drops reduction.
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 1);
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3);
+}
+
+TEST(RankRun, EveryRegistryEntryMatchesSerial) {
+  // Every scenario the rank path accepts — all but the two-phase recovery
+  // flows — at its smallest sweep size: TDMA, Capetanakis,
+  // pseudo-Bayesian, reservation and unslotted channels, implicit and ray
+  // topologies, open-loop load and default fault plans.
+  scenario::register_builtin();
+  int covered = 0;
+  for (const scenario::Scenario& s : Registry::instance().all()) {
+    if (s.fault_recovery) continue;
+    const NodeId n = s.sweep_n.front();
+    const RunResult serial = run(s, n, s.default_seed);
+    for (unsigned ranks : {2u, 4u}) {
+      const RunResult sharded = run_sharded(s, n, s.default_seed, ranks);
+      EXPECT_EQ(sharded.digest, serial.digest)
+          << s.name << " n=" << n << " ranks=" << ranks;
+      EXPECT_TRUE(sharded.metrics == serial.metrics)
+          << s.name << " n=" << n << " ranks=" << ranks;
+      EXPECT_TRUE(sharded.faults == serial.faults)
+          << s.name << " n=" << n << " ranks=" << ranks;
+      EXPECT_EQ(sharded.completed, serial.completed) << s.name;
+    }
+    ++covered;
+  }
+  EXPECT_GE(covered, 28);
 }
 
 TEST(RankRun, CrossShardTrafficIsCounted) {

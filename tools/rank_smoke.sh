@@ -3,7 +3,7 @@
 # serially and again at each requested --ranks count, then diffs the
 # scenario rows.  The row carries the run digest and the message/round
 # totals, so a zero diff is a bit-identity certificate for the
-# multi-process wire path (src/sim/rank.hpp) at this size.
+# multi-process wire path (src/sim/rank_exchange.hpp) at this size.
 #
 # Usage: tools/rank_smoke.sh [scenario] [n] [rank counts...]
 #   tools/rank_smoke.sh                              # global/min/rand/ring @ 65536, ranks 2 4
